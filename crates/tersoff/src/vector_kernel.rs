@@ -18,7 +18,7 @@
 use crate::functions::EXP_CLAMP;
 use crate::params::TersoffParams;
 use md_core::atom::AtomData;
-use vektor::{PortableBackend, Real, SimdBackend, SimdF, SimdM};
+use vektor::{math, PortableBackend, Real, SimdBackend, SimdF, SimdM};
 
 /// Pack atom positions (local + ghost) into a flat stride-4 buffer of the
 /// compute precision — the USER-INTEL-style packing step shared by every
@@ -245,57 +245,26 @@ pub struct ParamV<T: Real, const W: usize> {
     pub ca4: SimdF<T, W>,
 }
 
-/// Lane-wise `powf` with per-lane exponents.
+/// Vectorized cutoff `f_C(r)` and its derivative `f_C'(r)`, from one
+/// shared `sincos` of the argument clamped to `[−π/2, π/2]` (lanes outside
+/// are overridden by the selects).
 #[inline(always)]
-fn powf_v<T: Real, const W: usize>(x: SimdF<T, W>, e: SimdF<T, W>) -> SimdF<T, W> {
-    x.zip_map(e, |x, e| x.powf(e))
-}
-
-/// Lane-wise sine.
-#[inline(always)]
-fn sin_v<T: Real, const W: usize>(x: SimdF<T, W>) -> SimdF<T, W> {
-    x.map(|v| v.sin())
-}
-
-/// Lane-wise cosine.
-#[inline(always)]
-fn cos_v<T: Real, const W: usize>(x: SimdF<T, W>) -> SimdF<T, W> {
-    x.map(|v| v.cos())
-}
-
-/// Lane-wise exponential.
-#[inline(always)]
-fn exp_v<T: Real, const W: usize>(x: SimdF<T, W>) -> SimdF<T, W> {
-    x.map(|v| v.exp())
-}
-
-/// Vectorized cutoff function `f_C(r)`.
-#[inline(always)]
-pub fn fc_v<B: SimdBackend, T: Real, const W: usize>(
+pub fn fc_and_deriv_v<B: SimdBackend, T: Real, const W: usize>(
     p: &ParamV<T, W>,
     r: SimdF<T, W>,
-) -> SimdF<T, W> {
-    let lower = p.bigr - p.bigd;
-    let upper = p.bigr + p.bigd;
-    let arg = (r - p.bigr) / p.bigd * T::from_f64(std::f64::consts::FRAC_PI_2);
-    let mid = (SimdF::one() - sin_v(arg)) * T::HALF;
-    let below = r.simd_lt(lower);
-    let above = r.simd_gt(upper);
-    B::select(below, SimdF::one(), B::select(above, SimdF::zero(), mid))
-}
-
-/// Vectorized cutoff derivative `f_C'(r)`.
-#[inline(always)]
-pub fn fc_d_v<B: SimdBackend, T: Real, const W: usize>(
-    p: &ParamV<T, W>,
-    r: SimdF<T, W>,
-) -> SimdF<T, W> {
-    let lower = p.bigr - p.bigd;
-    let upper = p.bigr + p.bigd;
-    let arg = (r - p.bigr) / p.bigd * T::from_f64(std::f64::consts::FRAC_PI_2);
-    let mid = -(cos_v(arg) / p.bigd) * T::from_f64(std::f64::consts::FRAC_PI_4);
-    let inside = r.simd_ge(lower) & r.simd_le(upper);
-    B::masked(mid, inside)
+) -> (SimdF<T, W>, SimdF<T, W>) {
+    let half_pi = T::from_f64(std::f64::consts::FRAC_PI_2);
+    let arg = ((r - p.bigr) / p.bigd * half_pi).clamp(-half_pi, half_pi);
+    let (sin, cos) = math::sincos(arg);
+    let below = r.simd_lt(p.bigr - p.bigd);
+    let above = r.simd_gt(p.bigr + p.bigd);
+    let f_c = B::select(
+        below,
+        SimdF::one(),
+        B::select(above, SimdF::zero(), (SimdF::one() - sin) * T::HALF),
+    );
+    let f_c_d = -(cos / p.bigd) * T::from_f64(std::f64::consts::FRAC_PI_4);
+    (f_c, B::masked(f_c_d, !(below | above)))
 }
 
 /// Vectorized repulsive term of one ordered pair: `(energy, dE/dr)` of
@@ -305,9 +274,8 @@ pub fn repulsive_v<B: SimdBackend, T: Real, const W: usize>(
     p: &ParamV<T, W>,
     r: SimdF<T, W>,
 ) -> (SimdF<T, W>, SimdF<T, W>) {
-    let exp1 = exp_v(-(p.lam1 * r));
-    let f_c = fc_v::<B, T, W>(p, r);
-    let f_c_d = fc_d_v::<B, T, W>(p, r);
+    let exp1 = math::exp(-(p.lam1 * r));
+    let (f_c, f_c_d) = fc_and_deriv_v::<B, T, W>(p, r);
     let energy = f_c * p.biga * exp1 * T::HALF;
     let de_dr = p.biga * exp1 * (f_c_d - f_c * p.lam1) * T::HALF;
     (energy, de_dr)
@@ -320,9 +288,8 @@ pub fn fa_and_deriv_v<B: SimdBackend, T: Real, const W: usize>(
     r: SimdF<T, W>,
 ) -> (SimdF<T, W>, SimdF<T, W>) {
     let inside = r.simd_le(p.cut);
-    let exp2 = exp_v(-(p.lam2 * r));
-    let f_c = fc_v::<B, T, W>(p, r);
-    let f_c_d = fc_d_v::<B, T, W>(p, r);
+    let exp2 = math::exp(-(p.lam2 * r));
+    let (f_c, f_c_d) = fc_and_deriv_v::<B, T, W>(p, r);
     let fa = B::masked(-(p.bigb) * exp2 * f_c, inside);
     let fa_d = B::masked(p.bigb * exp2 * (p.lam2 * f_c - f_c_d), inside);
     (fa, fa_d)
@@ -330,6 +297,11 @@ pub fn fa_and_deriv_v<B: SimdBackend, T: Real, const W: usize>(
 
 /// Vectorized bond order `b_ij(ζ)` and derivative `db/dζ`, with the same
 /// asymptotic regions as the scalar code implemented through lane selects.
+///
+/// Every power of `tmp = βζ` comes from one `L = ln(tmp)`: `tmpⁿ = e^{nL}`,
+/// `tmp^{−½} = e^{−L/2}`, and the rest by division. The central region is
+/// `b = e^{−ln(1+tmpⁿ)/2n}`. Lanes outside a region may produce inf/NaN in
+/// that region's formula (ζ = 0 gives `L = −∞`); the selects discard them.
 #[inline(always)]
 pub fn bij_and_deriv_v<B: SimdBackend, T: Real, const W: usize>(
     p: &ParamV<T, W>,
@@ -338,37 +310,27 @@ pub fn bij_and_deriv_v<B: SimdBackend, T: Real, const W: usize>(
     let tmp = p.beta * zeta;
     let n = p.powern;
     let one = SimdF::<T, W>::one();
-    let half = SimdF::<T, W>::splat(T::HALF);
-    let two_n = n * T::TWO;
+    let half_beta = p.beta * T::HALF;
+    let inv_two_n = (n * T::TWO).recip();
+    let inv_tmp = tmp.recip();
 
-    // Clamp the argument of the central-region pow so extreme lanes (which
-    // will be overridden by the asymptotic selects) cannot generate inf/NaN.
-    let tmp_clamped = tmp.max(p.ca4).min(p.ca1);
-    let tmp_n_clamped = powf_v(tmp_clamped, n);
+    let l = math::ln(tmp);
+    let tmp_n = math::exp(n * l);
+    let tmp_m_half = math::exp(-(l * T::HALF));
+    let tmp_m_3half = tmp_m_half * inv_tmp;
+    let tmp_m_n = tmp_n.recip();
 
-    let central_b = powf_v(one + tmp_n_clamped, -(half / n));
-    let central_b_d = -(powf_v(one + tmp_n_clamped, -(one + half / n)) * tmp_n_clamped
-        / tmp_clamped)
-        * p.beta
-        * half;
+    let one_plus = one + tmp_n;
+    let central_b = math::exp(-(math::ln(one_plus) * inv_two_n));
+    let central_b_d = -(central_b * tmp_n * inv_tmp / one_plus) * half_beta;
 
-    // Large-ζ asymptotics: for tmp > ca1 / ca2 the unclamped tmp is what the
-    // asymptotic formula needs; powers of large tmp with negative exponents
-    // are safe.
-    let tmp_safe = tmp.max(SimdF::splat(T::EPSILON));
-    let pow_m15 = powf_v(tmp_safe, SimdF::splat(T::from_f64(-1.5)));
-    let pow_mn = powf_v(tmp_safe, -n);
-    let b_hi1 = powf_v(tmp_safe, SimdF::splat(T::from_f64(-0.5)));
-    let b_hi1_d = -(pow_m15 * half) * p.beta;
-    let b_hi2 = (one - pow_mn / two_n) * powf_v(tmp_safe, SimdF::splat(T::from_f64(-0.5)));
-    let b_hi2_d = -(pow_m15 * half) * (one - (one + half / n) * pow_mn) * p.beta;
+    let b_hi1 = tmp_m_half;
+    let b_hi1_d = -(tmp_m_3half * half_beta);
+    let b_hi2 = (one - tmp_m_n * inv_two_n) * tmp_m_half;
+    let b_hi2_d = -(tmp_m_3half * half_beta) * (one - (one + inv_two_n) * tmp_m_n);
 
-    // Small-ζ asymptotics (cap at ca3 so unselected large-ζ lanes cannot
-    // overflow; selected lanes are below ca3 and therefore exact).
-    let tmp_small = tmp.min(p.ca3);
-    let pow_n_small = powf_v(tmp_small, n);
-    let b_lo2 = one - pow_n_small / two_n;
-    let b_lo2_d = -(powf_v(tmp_small, n - T::ONE) * half) * p.beta;
+    let b_lo2 = one - tmp_n * inv_two_n;
+    let b_lo2_d = -(tmp_n * inv_tmp * half_beta);
 
     let m_hi1 = tmp.simd_gt(p.ca1);
     let m_hi2 = tmp.simd_gt(p.ca2);
@@ -413,12 +375,12 @@ pub fn ex_delr_v<T: Real, const W: usize>(
     if p.cubic {
         let arg = p.lam3 * dr;
         let t = (arg * arg * arg).clamp(-clamp, clamp);
-        let e = exp_v(t);
+        let e = math::exp(t);
         let e_d = p.lam3 * p.lam3 * p.lam3 * dr * dr * e * T::from_f64(3.0);
         (e, e_d)
     } else {
         let t = (p.lam3 * dr).clamp(-clamp, clamp);
-        let e = exp_v(t);
+        let e = math::exp(t);
         (e, p.lam3 * e)
     }
 }
@@ -465,8 +427,7 @@ pub fn zeta_term_and_gradients_v<B: SimdBackend, T: Real, const W: usize>(
     ];
     let cos_theta = hat_ij[0] * hat_ik[0] + hat_ij[1] * hat_ik[1] + hat_ij[2] * hat_ik[2];
 
-    let f_c = fc_v::<B, T, W>(p, rik);
-    let f_c_d = fc_d_v::<B, T, W>(p, rik);
+    let (f_c, f_c_d) = fc_and_deriv_v::<B, T, W>(p, rik);
     let (g, g_d) = gijk_and_deriv_v(p, cos_theta);
     let (e, e_d) = ex_delr_v(p, rij, rik);
 
@@ -539,8 +500,7 @@ mod tests {
         let pv = pp.splat::<W>(0);
         let ps = scalar_param(&TersoffParams::silicon());
         let r = sample_radii();
-        let v = fc_v::<PB, _, W>(&pv, r);
-        let vd = fc_d_v::<PB, _, W>(&pv, r);
+        let (v, vd) = fc_and_deriv_v::<PB, _, W>(&pv, r);
         for lane in 0..W {
             assert!((v.lane(lane) - functions::fc(&ps, r.lane(lane))).abs() < 1e-14);
             assert!((vd.lane(lane) - functions::fc_d(&ps, r.lane(lane))).abs() < 1e-14);
@@ -564,33 +524,116 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bond_order_matches_scalar_across_regimes() {
-        for (pp, params) in [
-            (packed(), TersoffParams::silicon()),
-            (packed_b(), TersoffParams::silicon_b()),
-        ] {
-            let pv = pp.splat::<W>(0);
-            let ps = scalar_param(&params);
-            let zeta = SimdF::from_array([0.0, 1e-12, 1e-6, 0.01, 0.5, 2.0, 50.0, 1e8]);
-            let (b, bd) = bij_and_deriv_v::<PB, _, W>(&pv, zeta);
-            for lane in 0..W {
-                let bs = functions::bij(&ps, zeta.lane(lane));
-                let bds = functions::bij_d(&ps, zeta.lane(lane));
-                assert!(
-                    (b.lane(lane) - bs).abs() < 1e-10 * (1.0 + bs.abs()),
-                    "lane {lane}: {} vs {}",
-                    b.lane(lane),
-                    bs
-                );
-                assert!(
-                    (bd.lane(lane) - bds).abs() < 1e-10 * (1.0 + bds.abs()),
-                    "lane {lane} derivative: {} vs {}",
-                    bd.lane(lane),
-                    bds
-                );
+    /// Every parameter set the crate ships.
+    fn shipped_sets() -> [(&'static str, TersoffParams); 6] {
+        [
+            ("Si", TersoffParams::silicon()),
+            ("Si(B)", TersoffParams::silicon_b()),
+            ("C", TersoffParams::carbon()),
+            ("Ge", TersoffParams::germanium()),
+            ("SiC", TersoffParams::silicon_carbide()),
+            ("SiGe", TersoffParams::silicon_germanium()),
+        ]
+    }
+
+    /// A ζ with `β·ζ == ca` exactly in `f64` when one exists near `ca/β`,
+    /// else the nearest candidate.
+    fn zeta_at(beta: f64, ca: f64) -> f64 {
+        let mut z = ca / beta;
+        for _ in 0..4 {
+            match (beta * z).partial_cmp(&ca) {
+                Some(std::cmp::Ordering::Less) => z = z.next_up(),
+                Some(std::cmp::Ordering::Greater) => z = z.next_down(),
+                _ => break,
             }
         }
+        z
+    }
+
+    /// ζ lanes covering every region of b_ij: the fixed sweep plus each
+    /// threshold `ca1..ca4` and its neighbours on both sides.
+    fn regime_zetas(e: &crate::params::TersoffParam) -> Vec<f64> {
+        let mut z = vec![0.0, 1e-12, 1e-6, 0.01, 0.5, 2.0, 50.0, 1e8];
+        for ca in [e.ca1, e.ca2, e.ca3, e.ca4] {
+            let at = zeta_at(e.beta, ca);
+            z.extend([at.next_down(), at, at.next_up(), at * 0.999, at * 1.001]);
+        }
+        z
+    }
+
+    /// The b_ij region the kernel's selects pick for `tmp = βζ`.
+    fn region(tmp: f64, ca: [f64; 4]) -> u8 {
+        match tmp {
+            t if t > ca[0] => 0,
+            t if t > ca[1] => 1,
+            t if t < ca[3] => 2,
+            t if t < ca[2] => 3,
+            _ => 4,
+        }
+    }
+
+    /// The `f64` argument at which to evaluate the scalar reference for a
+    /// lane of precision `T`: the lane's own ζ, unless rounding `β`, `ζ`
+    /// and the thresholds to `T` put the lane on the other side of a
+    /// threshold. Then it is the nearest `f64` ζ on the lane's side, since
+    /// b′ is discontinuous at `ca4` in the model itself.
+    fn reference_zeta<T: Real>(e: &crate::params::TersoffParam, zeta: T) -> f64 {
+        let ca = [e.ca1, e.ca2, e.ca3, e.ca4];
+        let ca_t = ca.map(|c| T::from_f64(c).to_f64());
+        let lane = region((T::from_f64(e.beta) * zeta).to_f64(), ca_t);
+        let z = zeta.to_f64();
+        if region(e.beta * z, ca) == lane {
+            return z;
+        }
+        ca.iter()
+            .map(|&c| zeta_at(e.beta, c))
+            .flat_map(|at| [at.next_down(), at, at.next_up()])
+            .filter(|&c| region(e.beta * c, ca) == lane)
+            .min_by(|a, b| (a - z).abs().total_cmp(&(b - z).abs()))
+            .expect("a threshold neighbour lies in every region")
+    }
+
+    /// Largest `|v − s| / (1 + |s|)` of the vector bond order and its
+    /// derivative against the f64 scalar, over every entry of every
+    /// shipped set and every regime lane.
+    fn bond_order_error<T: Real>() -> f64 {
+        let mut worst = 0.0f64;
+        for (name, params) in shipped_sets() {
+            let pp = PackedParams::<T>::new(&params);
+            for (idx, entry) in params.entries().iter().enumerate() {
+                let pv = pp.splat::<W>(idx);
+                let ps = ParamT::<f64>::from_param(entry);
+                for chunk in regime_zetas(entry).chunks(W) {
+                    let zeta = SimdF::<T, W>::from_fn(|l| T::from_f64(chunk[l % chunk.len()]));
+                    let (b, bd) = bij_and_deriv_v::<PB, T, W>(&pv, zeta);
+                    for lane in 0..W {
+                        let z = reference_zeta(entry, zeta.lane(lane));
+                        let (bs, bds) = (functions::bij(&ps, z), functions::bij_d(&ps, z));
+                        let eb = (b.lane(lane).to_f64() - bs).abs() / (1.0 + bs.abs());
+                        let ed = (bd.lane(lane).to_f64() - bds).abs() / (1.0 + bds.abs());
+                        assert!(
+                            eb.is_finite() && ed.is_finite(),
+                            "{name} entry {idx} ζ = {z}"
+                        );
+                        worst = worst.max(eb).max(ed);
+                    }
+                }
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn bond_order_matches_scalar_across_regimes() {
+        let e64 = bond_order_error::<f64>();
+        assert!(e64 < 1e-10, "f64 bond order error {e64}");
+        // f32 lanes against the f64 scalar: a few f32 roundings of β, ζ, n
+        // and the thresholds, nothing that grows with the region.
+        let e32 = bond_order_error::<f32>();
+        assert!(
+            e32 < 8.0 * f64::from(f32::EPSILON),
+            "f32 bond order error {e32}"
+        );
     }
 
     #[test]

@@ -6,15 +6,17 @@
 //! `Opt-M`) pairs an `f32` compute type with an `f64` accumulator type, and
 //! is expressed in kernels as two independent `Real` parameters.
 
+use crate::math::MathConsts;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A scalar floating-point type usable as a vector lane element.
 ///
-/// The operation set is exactly what the Tersoff kernels need: basic
-/// arithmetic, `sqrt`, `exp`, trigonometric functions for the cutoff and
-/// angular terms, `powf` for the bond-order term, and fused multiply-add.
+/// The operation set is what the Tersoff kernels need: basic arithmetic,
+/// `sqrt`, the libm transcendentals of the scalar paths, fused multiply-add,
+/// and the bit-level primitives plus per-precision constants the
+/// lane-native functions in [`crate::math`] are built from.
 pub trait Real:
     Copy
     + Clone
@@ -51,6 +53,9 @@ pub trait Real:
     const PI: Self;
     /// Number of significant decimal digits (used to pick test tolerances).
     const DIGITS: u32;
+    /// Reduction constants and polynomial coefficients of the lane-native
+    /// functions in [`crate::math`], in this precision.
+    const MATH: MathConsts<Self>;
 
     /// Convert from `f64`, rounding to the nearest representable value.
     fn from_f64(x: f64) -> Self;
@@ -87,10 +92,20 @@ pub trait Real:
     fn recip(self) -> Self;
     /// True if the value is finite (not NaN and not infinite).
     fn is_finite(self) -> bool;
+
+    /// `2^k` for an integral `k` in the normal exponent range, built by
+    /// writing the biased exponent into the bit pattern with integer
+    /// add/shift. No float-to-int conversion is involved, so lane loops
+    /// calling it vectorize on every ISA (AVX2 has no `f64 → i64`).
+    fn pow2i(k: Self) -> Self;
+    /// Split a positive normal value into `(m, e)` with `self = m · 2^e`,
+    /// `m ∈ [1, 2)` and `e` integral, by reading the exponent and mantissa
+    /// fields. Other inputs give unspecified (but non-trapping) values.
+    fn decompose(self) -> (Self, Self);
 }
 
 macro_rules! impl_real {
-    ($t:ty, $digits:expr) => {
+    ($t:ty, $bits:ty, $digits:expr, $mant:expr, $bias:expr, $math:expr) => {
         impl Real for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -99,6 +114,7 @@ macro_rules! impl_real {
             const EPSILON: Self = <$t>::EPSILON;
             const PI: Self = std::f64::consts::PI as $t;
             const DIGITS: u32 = $digits;
+            const MATH: MathConsts<Self> = $math;
 
             #[inline(always)]
             fn from_f64(x: f64) -> Self {
@@ -160,12 +176,31 @@ macro_rules! impl_real {
             fn is_finite(self) -> bool {
                 <$t>::is_finite(self)
             }
+            #[inline(always)]
+            fn pow2i(k: Self) -> Self {
+                // `k + 1.5·2^mant` holds k (two's complement) in the low
+                // mantissa bits of its pattern.
+                const ROUND: $t = 1.5 * (1u64 << $mant) as $t;
+                let k_bits = (k + ROUND).to_bits().wrapping_sub(ROUND.to_bits());
+                <$t>::from_bits(k_bits.wrapping_add($bias) << $mant)
+            }
+            #[inline(always)]
+            fn decompose(self) -> (Self, Self) {
+                // The exponent field, OR-ed into the mantissa of 2^mant,
+                // reads back as `2^mant + field` exactly.
+                const TWO_MANT: $t = (1u64 << $mant) as $t;
+                const MANT_MASK: $bits = (1 << $mant) - 1;
+                let b = self.to_bits();
+                let m = <$t>::from_bits((b & MANT_MASK) | (1.0 as $t).to_bits());
+                let field = <$t>::from_bits((b >> $mant) | TWO_MANT.to_bits());
+                (m, field - (TWO_MANT + $bias as $t))
+            }
         }
     };
 }
 
-impl_real!(f32, 6);
-impl_real!(f64, 15);
+impl_real!(f32, u32, 6, 23, 127, crate::math::F32);
+impl_real!(f64, u64, 15, 52, 1023, crate::math::F64);
 
 #[cfg(test)]
 mod tests {
@@ -215,6 +250,26 @@ mod tests {
         assert_eq!(Real::min(3.0_f64, -1.0), -1.0);
         assert_eq!(Real::max(3.0_f64, -1.0), 3.0);
         assert_eq!(Real::abs(-2.5_f32), 2.5);
+    }
+
+    fn bit_primitives<T: Real>() {
+        for k in [-126.0, -75.0, -1.0, 0.0, 1.0, 64.0, 127.0] {
+            assert_eq!(T::pow2i(T::from_f64(k)).to_f64(), 2f64.powf(k));
+        }
+        for (x, m, e) in [(1.0, 1.0, 0.0), (3.0, 1.5, 1.0), (0.375, 1.5, -2.0)] {
+            let (mm, ee) = T::from_f64(x).decompose();
+            assert_eq!((mm.to_f64(), ee.to_f64()), (m, e));
+        }
+    }
+
+    #[test]
+    fn pow2i_and_decompose_are_exact() {
+        bit_primitives::<f32>();
+        bit_primitives::<f64>();
+        assert_eq!(f64::pow2i(-1022.0), f64::MIN_POSITIVE);
+        assert_eq!(f64::pow2i(1023.0), 2f64.powi(1023));
+        assert_eq!(f32::MIN_POSITIVE.decompose(), (1.0, -126.0));
+        assert_eq!(f64::MAX.decompose().1, 1023.0);
     }
 
     #[test]

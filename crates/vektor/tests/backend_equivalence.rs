@@ -20,8 +20,9 @@
 //! exact, both `mul_add` paths fuse, and the intrinsic horizontal sums
 //! reproduce the portable pairwise association. (No approximate rsqrt/exp
 //! instructions are used by any backend, so no ULP-bound carve-outs are
-//! needed; `math.rs`'s `fast_*` functions are backend-independent scalar
-//! polynomials.)
+//! needed.) The lane-native `math` functions are checked the same way
+//! through trampolined instances: their polynomials use plain `*`/`+`
+//! only, so every instance must round identically.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -35,6 +36,7 @@ use vektor::dispatch::{self, BackendImpl, KernelBody};
 use vektor::gather::{
     adjacent_gather3_in, adjacent_gather_n_in, adjacent_scatter3, adjacent_scatter_add3_distinct_in,
 };
+use vektor::math;
 use vektor::reduce::{reduce3, sum_slice, KahanSum, VectorAccumulator};
 use vektor::{PortableBackend, Real, SimdBackend, SimdF, SimdI, SimdM};
 
@@ -397,6 +399,113 @@ fn kernel_instances_are_backend_invariant_f32() {
     check_kernel_instance_equivalence::<f32, 8>(53);
     check_kernel_instance_equivalence::<f32, 16>(54);
     check_kernel_instance_equivalence::<f32, 32>(55);
+}
+
+// ---------------------------------------------------------------------------
+// Lane-native math through the trampolined instances
+// ---------------------------------------------------------------------------
+
+const MATH_FNS: [&str; 5] = ["exp", "ln", "sin", "cos", "sincos"];
+
+/// Every `vektor::math` function over the same inputs, one output trace per
+/// function, compiled inside the trampoline's entry like a kernel body.
+struct MathPass<T: Real, const W: usize> {
+    inputs: Vec<T>,
+}
+
+impl<T: Real, const W: usize> KernelBody for MathPass<T, W> {
+    type Output = [Vec<f64>; 5];
+
+    #[inline(always)]
+    fn run<B: SimdBackend>(self) -> [Vec<f64>; 5] {
+        let mut out: [Vec<f64>; 5] = Default::default();
+        for at in (0..self.inputs.len()).step_by(W) {
+            let v = SimdF::<T, W>::load(&self.inputs, at);
+            let (s, c) = math::sincos(v);
+            out[0].extend(math::exp(v).to_f64_array());
+            out[1].extend(math::ln(v).to_f64_array());
+            out[2].extend(math::sin(v).to_f64_array());
+            out[3].extend(math::cos(v).to_f64_array());
+            out[4].extend(s.to_f64_array());
+            out[4].extend(c.to_f64_array());
+        }
+        out
+    }
+}
+
+/// Inputs over the kernel's argument ranges plus special values and lanes
+/// beyond the exact trig reduction, padded to a multiple of `W`.
+fn math_inputs<T: Real, const W: usize>(seed: u64) -> Vec<T> {
+    let mut r = rng(seed);
+    let mut xs: Vec<f64> = vec![
+        0.0,
+        -0.0,
+        1.0,
+        1e-310,
+        -1e-310,
+        1e-40,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1e30,
+        -1e7,
+        69.0776,
+        -69.0776,
+        std::f64::consts::FRAC_PI_2,
+        -std::f64::consts::FRAC_PI_2,
+    ];
+    for _ in 0..CASES * 4 {
+        xs.push(r.gen_range(-69.0776..69.0776));
+        xs.push(r.gen_range(-2.0..2.0));
+        xs.push(10f64.powf(r.gen_range(-12.0..8.0)));
+        xs.push(r.gen_range(-1.0e5..1.0e5));
+    }
+    while !xs.len().is_multiple_of(W) {
+        xs.push(0.5);
+    }
+    xs.into_iter().map(T::from_f64).collect()
+}
+
+fn check_math_equivalence<T: Real, const W: usize>(seed: u64) {
+    let inputs = math_inputs::<T, W>(seed);
+    let run = |backend| {
+        dispatch::run_kernel(
+            backend,
+            MathPass::<T, W> {
+                inputs: inputs.clone(),
+            },
+        )
+    };
+    let reference = run(BackendImpl::Portable);
+    for backend in supported_backends() {
+        let got = run(backend);
+        for (f, name) in MATH_FNS.iter().enumerate() {
+            for (i, (a, b)) in reference[f].iter().zip(got[f].iter()).enumerate() {
+                // NaN payloads may follow operand order; NaN-ness may not.
+                let same = a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+                assert!(
+                    same,
+                    "math::{name} diverges under {backend} at element {i}: {a} vs {b} \
+                     (T = {}, W = {W})",
+                    std::any::type_name::<T>()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn math_functions_are_backend_invariant_f64() {
+    check_math_equivalence::<f64, 4>(61);
+    check_math_equivalence::<f64, 8>(62);
+    check_math_equivalence::<f64, 16>(63);
+}
+
+#[test]
+fn math_functions_are_backend_invariant_f32() {
+    check_math_equivalence::<f32, 8>(71);
+    check_math_equivalence::<f32, 16>(72);
+    check_math_equivalence::<f32, 32>(73);
 }
 
 // ---------------------------------------------------------------------------

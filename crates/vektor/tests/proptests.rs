@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use vektor::conflict::{scatter_add3, scatter_add3_conflict_detect};
 use vektor::gather::{adjacent_gather3, adjacent_gather_n};
-use vektor::math::{fast_exp_scalar, fast_sin_halfpi_scalar};
+use vektor::math;
 use vektor::reduce::{sum_slice, KahanSum};
 use vektor::{SimdF, SimdI, SimdM};
 
@@ -206,29 +206,37 @@ fn adjacent_gather_n_matches_direct_indexing() {
 }
 
 #[test]
-fn fast_exp_relative_error_bounded() {
+fn exp_relative_error_bounded() {
     let mut rng = ChaCha8Rng::seed_from_u64(112);
     for _ in 0..4 * CASES {
-        let x = rng.gen_range(-69.0..69.0);
-        let approx = fast_exp_scalar::<f64>(x);
-        let exact = x.exp();
-        assert!(
-            ((approx - exact) / exact).abs() < 5e-6,
-            "x = {x}: {approx} vs {exact}"
-        );
+        let x = SimdF::<f64, W>::from_array(std::array::from_fn(|_| rng.gen_range(-69.0..69.0)));
+        let approx = math::exp(x);
+        for lane in 0..W {
+            let exact = x.lane(lane).exp();
+            assert!(
+                ((approx.lane(lane) - exact) / exact).abs() <= 2.0 * f64::EPSILON,
+                "x = {}: {} vs {exact}",
+                x.lane(lane),
+                approx.lane(lane)
+            );
+        }
     }
 }
 
 #[test]
-fn fast_sin_error_bounded() {
+fn sin_error_bounded() {
     let mut rng = ChaCha8Rng::seed_from_u64(113);
     let lim = std::f64::consts::FRAC_PI_2 - 1e-4;
     for _ in 0..4 * CASES {
-        let x = rng.gen_range(-lim..lim);
-        assert!(
-            (fast_sin_halfpi_scalar::<f64>(x) - x.sin()).abs() < 1e-5,
-            "x = {x}"
-        );
+        let x = SimdF::<f64, W>::from_array(std::array::from_fn(|_| rng.gen_range(-lim..lim)));
+        let approx = math::sin(x);
+        for lane in 0..W {
+            let x = x.lane(lane);
+            assert!(
+                (approx.lane(lane) - x.sin()).abs() <= f64::EPSILON,
+                "x = {x}"
+            );
+        }
     }
 }
 

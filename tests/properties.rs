@@ -61,7 +61,9 @@ type PressureGolden = (&'static str, &'static str, &'static [(u64, u64)]);
 
 /// Captured on the scalar-virial code base — regenerate only with
 /// `generate_pressure_goldens` on a commit *before* a change that is
-/// allowed to move pressure.
+/// allowed to move pressure. The vector-scheme rows (1a/1b/1c) were
+/// regenerated when the vector kernels moved from libm to the lane-native
+/// `vektor::math` functions; the Ref and scalar-scheme rows are unchanged.
 const PRESSURE_GOLDENS: &[PressureGolden] = &[
     (
         "Ref",
@@ -93,39 +95,39 @@ const PRESSURE_GOLDENS: &[PressureGolden] = &[
         "Opt-D",
         "1a",
         &[
-            (0, 0x40ad77e7952cb6d8),
-            (5, 0x40b0874ebee41010),
-            (10, 0x40b41d064e94474b),
-            (15, 0x40b678d441a07d76),
-            (20, 0x40b587470c73bca2),
-            (25, 0x40b1c097358b1cca),
-            (30, 0x40ab79f434f38747),
+            (0, 0x40ad77e7952cb6c8),
+            (5, 0x40b0874ebee4102e),
+            (10, 0x40b41d064e94471a),
+            (15, 0x40b678d441a07d64),
+            (20, 0x40b587470c73bcbc),
+            (25, 0x40b1c097358b1c9f),
+            (30, 0x40ab79f434f38774),
         ],
     ),
     (
         "Opt-D",
         "1b",
         &[
-            (0, 0x40ad77e7952cb6d2),
-            (5, 0x40b0874ebee4101f),
-            (10, 0x40b41d064e94475c),
-            (15, 0x40b678d441a07d40),
-            (20, 0x40b587470c73bc4b),
-            (25, 0x40b1c097358b1c63),
-            (30, 0x40ab79f434f3871e),
+            (0, 0x40ad77e7952cb6c4),
+            (5, 0x40b0874ebee4102a),
+            (10, 0x40b41d064e944715),
+            (15, 0x40b678d441a07d6e),
+            (20, 0x40b587470c73bcb3),
+            (25, 0x40b1c097358b1c9c),
+            (30, 0x40ab79f434f38777),
         ],
     ),
     (
         "Opt-D",
         "1c",
         &[
-            (0, 0x40ad77e7952cb6d5),
-            (5, 0x40b0874ebee4101d),
-            (10, 0x40b41d064e94474c),
-            (15, 0x40b678d441a07d64),
-            (20, 0x40b587470c73bc64),
-            (25, 0x40b1c097358b1c51),
-            (30, 0x40ab79f434f386f9),
+            (0, 0x40ad77e7952cb6c4),
+            (5, 0x40b0874ebee41029),
+            (10, 0x40b41d064e944717),
+            (15, 0x40b678d441a07d6f),
+            (20, 0x40b587470c73bcb4),
+            (25, 0x40b1c097358b1c9d),
+            (30, 0x40ab79f434f38779),
         ],
     ),
     (
@@ -145,39 +147,39 @@ const PRESSURE_GOLDENS: &[PressureGolden] = &[
         "Opt-S",
         "1a",
         &[
-            (0, 0x40ad7b318f1a4fb0),
-            (5, 0x40b089e0c6e16de8),
-            (10, 0x40b41e686462434d),
-            (15, 0x40b67aa176bc68a8),
-            (20, 0x40b589774466fa64),
-            (25, 0x40b1c239a61282e0),
-            (30, 0x40ab7efa0f9db48a),
+            (0, 0x40ad7b2fa6bde18c),
+            (5, 0x40b089de237f332b),
+            (10, 0x40b41e647e5a9587),
+            (15, 0x40b67aa2d7ae24b1),
+            (20, 0x40b5895d19030bda),
+            (25, 0x40b1c23758990ae9),
+            (30, 0x40ab7ef6ded82671),
         ],
     ),
     (
         "Opt-S",
         "1b",
         &[
-            (0, 0x40ad7b318f1a4fb0),
-            (5, 0x40b089e0b37b2ebd),
-            (10, 0x40b41e66778bb074),
-            (15, 0x40b67aa1d0da923b),
-            (20, 0x40b58978a105b53d),
-            (25, 0x40b1c239a4dbf110),
-            (30, 0x40ab7efadffebe88),
+            (0, 0x40ad7b2fc74c938f),
+            (5, 0x40b089de0965edcc),
+            (10, 0x40b41e6436b53311),
+            (15, 0x40b67aa380f94758),
+            (20, 0x40b5895b055b01b7),
+            (25, 0x40b1c23748489960),
+            (30, 0x40ab7ee68dfcd434),
         ],
     ),
     (
         "Opt-S",
         "1c",
         &[
-            (0, 0x40ad7b31750e8e15),
-            (5, 0x40b089e0cdb06f3a),
-            (10, 0x40b41e668b4e8335),
-            (15, 0x40b67aa19e346715),
-            (20, 0x40b58978af5dc934),
-            (25, 0x40b1c2399a2d599e),
-            (30, 0x40ab7efa887deb98),
+            (0, 0x40ad7b2ffb6416c4),
+            (5, 0x40b089de167a75db),
+            (10, 0x40b41e6440cea804),
+            (15, 0x40b67aa35acdd187),
+            (20, 0x40b5895ae92ea53c),
+            (25, 0x40b1c23736d1458d),
+            (30, 0x40ab7eeb17b6bd1d),
         ],
     ),
     (
@@ -197,39 +199,39 @@ const PRESSURE_GOLDENS: &[PressureGolden] = &[
         "Opt-M",
         "1a",
         &[
-            (0, 0x40ad7b31737b27a0),
-            (5, 0x40b089e0b9b3ae41),
-            (10, 0x40b41e682364b565),
-            (15, 0x40b67aa1c2abe4ea),
-            (20, 0x40b5897747eda62e),
-            (25, 0x40b1c239b3fdd58c),
-            (30, 0x40ab7efaa056e00e),
+            (0, 0x40ad7b2fb8ecc4fc),
+            (5, 0x40b089de15587749),
+            (10, 0x40b41e644eb090a2),
+            (15, 0x40b67aa364599bbd),
+            (20, 0x40b5895d90598f14),
+            (25, 0x40b1c2372a8f847f),
+            (30, 0x40ab7ef20de8a6c0),
         ],
     ),
     (
         "Opt-M",
         "1b",
         &[
-            (0, 0x40ad7b317cb682bd),
-            (5, 0x40b089e0b9be9cfa),
-            (10, 0x40b41e667e4f6610),
-            (15, 0x40b67aa1d3fcc214),
-            (20, 0x40b58978aab91e8f),
-            (25, 0x40b1c239a3579288),
-            (30, 0x40ab7efad00c653d),
+            (0, 0x40ad7b2fd8abeaf0),
+            (5, 0x40b089de1123d51e),
+            (10, 0x40b41e645a83a2d1),
+            (15, 0x40b67aa3793a97d1),
+            (20, 0x40b5895940700963),
+            (25, 0x40b1c236fd166f07),
+            (30, 0x40ab7ef1e48f717e),
         ],
     ),
     (
         "Opt-M",
         "1c",
         &[
-            (0, 0x40ad7b316d460aba),
-            (5, 0x40b089e0c236efb1),
-            (10, 0x40b41e6696fb88f5),
-            (15, 0x40b67aa1be0fdc9a),
-            (20, 0x40b58978b693782a),
-            (25, 0x40b1c239a4d13cff),
-            (30, 0x40ab7efa9fecac84),
+            (0, 0x40ad7b2ff99c4908),
+            (5, 0x40b089de19a92db4),
+            (10, 0x40b41e6443e6edfa),
+            (15, 0x40b67aa36340ac75),
+            (20, 0x40b589595412e65a),
+            (25, 0x40b1c23716c7077c),
+            (30, 0x40ab7ef239d1ed3f),
         ],
     ),
 ];
