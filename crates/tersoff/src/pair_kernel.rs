@@ -6,13 +6,17 @@
 //! those pairs are formed (pre-packed by the filter for 1b, lock-stepped over
 //! the J loop for 1c). Everything downstream is identical and lives here:
 //!
-//! * the two K-loop passes over each lane's own neighbor list, optionally
-//!   using the **fast-forward** iteration of Sec. IV-C (lanes that are ready
-//!   to compute idle while the others catch up, so the expensive ζ kernel
-//!   only ever runs with as many lanes active as possible);
+//! * one K-loop pass over each lane's own neighbor list, optionally using the
+//!   **fast-forward** iteration of Sec. IV-C (lanes that are ready to compute
+//!   idle while the others catch up, so the expensive ζ kernel only ever runs
+//!   with as many lanes active as possible). As in scheme (1a), this is the
+//!   Algorithm-3 single K loop: ζ and its i/j gradients accumulate in lanes,
+//!   and each computing step's ∇_k ζ goes on a tape of [`KTapeEntry`]s that
+//!   is replayed, scaled by δζ, once the bond order is known;
 //! * the pair-level energy/force evaluation;
 //! * the force scatter with **conflict handling** (building block 3), since
-//!   nothing guarantees distinct targets when i varies per lane.
+//!   nothing guarantees distinct targets when i varies per lane;
+//! * the virial, accumulated per lane and reduced once per pair vector.
 
 use crate::accumulate::{fold_flat_forces, AccView};
 use crate::filter::FilteredNeighbors;
@@ -74,19 +78,36 @@ impl<A: Real> Accumulators<A> {
     }
 }
 
-/// One step of the (possibly fast-forwarded) K iteration: decides which lanes
-/// compute this round and how the per-lane cursors advance.
-struct KStep<const W: usize> {
+/// One computing step of the K pass, kept until δζ is known: which lanes
+/// computed, their k atoms, the i→k displacements and ∇_k ζ.
+#[derive(Copy, Clone, Debug)]
+pub struct KTapeEntry<T: Real, const W: usize> {
+    k_cand: [usize; W],
     ready: SimdM<W>,
-    advance: SimdM<W>,
-    spin: bool,
+    del_ik: [SimdF<T, W>; 3],
+    grad_k: [SimdF<T, W>; 3],
 }
 
-/// Process one vector of (i, j) pairs: ζ pass, pair terms, gradient pass,
-/// force scatter. `lane_mask` marks lanes holding a real pair. The
-/// accumulation target is a borrowed [`AccView`], so the caller decides
-/// whether forces land in an `A`-precision scratch buffer or (for
-/// `A = f64`) directly in the per-thread output.
+/// Reusable per-thread scratch shared by the pair-vector schemes (1b)/(1c):
+/// the accumulation buffers, the K tape, and per-thread kernel statistics.
+#[derive(Clone, Debug, Default)]
+pub struct PairSchemeScratch<T: Real, A: Real, const W: usize> {
+    /// Force accumulators in the accumulation precision.
+    pub acc: Accumulators<A>,
+    /// The K tape [`process_pair_vector`] records and replays, reused
+    /// across pair vectors (allocation-free once it reaches its
+    /// steady-state length).
+    pub tape: Vec<KTapeEntry<T, W>>,
+    /// Per-thread lane-occupancy statistics.
+    pub stats: KernelStats,
+}
+
+/// Process one vector of (i, j) pairs: the single K pass (ζ and its
+/// gradients), pair terms, the replay of the K tape, force scatter and
+/// virial. `lane_mask` marks lanes holding a real pair. The accumulation
+/// target is a borrowed [`AccView`], so the caller decides whether forces
+/// land in an `A`-precision scratch buffer or (for `A = f64`) directly in
+/// the per-thread output.
 ///
 /// Generic over the executing backend `B` and `#[inline(always)]`: the
 /// schemes' loop bodies inline this into their per-ISA
@@ -100,9 +121,9 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
     j_idx: &[usize; W],
     lane_mask_in: SimdM<W>,
     acc: &mut AccView<'_, A>,
-    stats: Option<&mut KernelStats>,
+    tape: &mut Vec<KTapeEntry<T, W>>,
+    mut stats: Option<&mut KernelStats>,
 ) {
-    let mut stats = stats;
     let to_acc = |x: T| A::from_f64(x.to_f64());
 
     let xi = adjacent_gather3_in::<B, T, W, 4>(ctx.positions, i_idx, lane_mask_in);
@@ -114,11 +135,14 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
     );
     let rsq = del_ij[0] * del_ij[0] + del_ij[1] * del_ij[1] + del_ij[2] * del_ij[2];
 
+    // Per-lane (i, j, ·) parameter-table rows: the pair entry (i, j, j) and
+    // the base the K loop adds each k type to.
     let mut pair_idx = [0usize; W];
+    let mut ij_base = [0usize; W];
     for lane in 0..W {
-        let ti = ctx.types[i_idx[lane]];
         let tj = ctx.types[j_idx[lane]];
-        pair_idx[lane] = ctx.packed.index(ti, tj, tj);
+        ij_base[lane] = ctx.packed.index(ctx.types[i_idx[lane]], tj, 0);
+        pair_idx[lane] = ij_base[lane] + tj;
     }
     let p_ij = ctx.packed.gather_in::<B, W>(&pair_idx, lane_mask_in);
     let lane_mask = lane_mask_in & rsq.simd_lt(p_ij.cutsq);
@@ -143,174 +167,143 @@ pub fn process_pair_vector<B: SimdBackend, T: Real, A: Real, const W: usize>(
     }
     let k_end_v = SimdI::from_array(k_end);
 
-    // The K iteration driver, shared by both passes. Calls `body(ready, k_cand)`
-    // whenever a set of lanes is scheduled to compute.
-    #[allow(clippy::type_complexity)]
-    let k_iterate = |stats: &mut Option<&mut KernelStats>,
-                     body: &mut dyn FnMut(
-        SimdM<W>,
-        &[usize; W],
-        [SimdF<T, W>; 3],
-        SimdF<T, W>,
-        &crate::vector_kernel::ParamV<T, W>,
-    )| {
-        let mut k_pos = SimdI::from_array(k_start);
-        loop {
-            let iterating = lane_mask & k_pos.simd_lt(k_end_v);
-            if iterating.none() {
-                break;
-            }
-            // Candidate neighbor per lane.
-            let mut k_cand = [0usize; W];
-            for lane in 0..W {
-                if iterating.lane(lane) {
-                    k_cand[lane] = ctx.filtered.lists[k_pos.lane(lane) as usize] as usize;
-                }
-            }
-            let xk = adjacent_gather3_in::<B, T, W, 4>(ctx.positions, &k_cand, iterating);
-            let del_ik = min_image_v::<B, T, W>(
-                [xk[0] - xi[0], xk[1] - xi[1], xk[2] - xi[2]],
-                ctx.lengths,
-                ctx.periodic,
-            );
-            let rsq_ik = del_ik[0] * del_ik[0] + del_ik[1] * del_ik[1] + del_ik[2] * del_ik[2];
-            let mut trip_idx = [0usize; W];
-            for lane in 0..W {
-                trip_idx[lane] = ctx.packed.index(
-                    ctx.types[i_idx[lane]],
-                    ctx.types[j_idx[lane]],
-                    ctx.types[k_cand[lane]],
-                );
-            }
-            let p_ijk = ctx.packed.gather_in::<B, W>(&trip_idx, iterating);
-
-            let mut ready = iterating & rsq_ik.simd_lt(p_ijk.cutsq);
-            for lane in 0..W {
-                if k_cand[lane] == j_idx[lane] {
-                    ready.set_lane(lane, false);
-                }
-            }
-
-            let step = if ctx.fast_forward {
-                let spin = iterating.and_not(ready);
-                if spin.any() {
-                    // Advance only the not-ready lanes; ready lanes idle.
-                    KStep {
-                        ready: SimdM::all_false(),
-                        advance: spin,
-                        spin: true,
-                    }
-                } else {
-                    KStep {
-                        ready,
-                        advance: ready,
-                        spin: false,
-                    }
-                }
-            } else {
-                // Naive iteration: compute for whoever is ready, advance all.
-                KStep {
-                    ready,
-                    advance: iterating,
-                    spin: ready.none(),
-                }
-            };
-
-            if step.spin {
-                if let Some(s) = stats.as_deref_mut() {
-                    s.record_k_spin();
-                }
-            } else if step.ready.any() {
-                if let Some(s) = stats.as_deref_mut() {
-                    s.record_k_compute(step.ready.count());
-                }
-                let rik = B::select(step.ready, rsq_ik, SimdF::one()).sqrt();
-                body(step.ready, &k_cand, del_ik, rik, &p_ijk);
-            }
-            k_pos = k_pos.masked_increment(step.advance);
-        }
-    };
-
-    // ---- Pass 1: accumulate ζ. ----
+    // ---- The K pass: ζ, ∇_j ζ and ∇_i ζ in lanes, ∇_k ζ onto the tape. ----
     let mut zeta = SimdF::<T, W>::zero();
-    k_iterate(&mut stats, &mut |ready, _k, del_ik, rik, p_ijk| {
-        let (z, _, _) = zeta_term_and_gradients_v::<B, T, W>(p_ijk, del_ij, rij, del_ik, rik);
-        zeta += B::masked(z, ready);
-    });
+    let mut dzeta_i = [SimdF::<T, W>::zero(); 3];
+    let mut dzeta_j = [SimdF::<T, W>::zero(); 3];
+    tape.clear();
+    let mut k_pos = SimdI::from_array(k_start);
+    loop {
+        let iterating = lane_mask & k_pos.simd_lt(k_end_v);
+        if iterating.none() {
+            break;
+        }
+        // Candidate neighbor per lane.
+        let mut k_cand = [0usize; W];
+        for lane in 0..W {
+            if iterating.lane(lane) {
+                k_cand[lane] = ctx.filtered.lists[k_pos.lane(lane) as usize] as usize;
+            }
+        }
+        let xk = adjacent_gather3_in::<B, T, W, 4>(ctx.positions, &k_cand, iterating);
+        let del_ik = min_image_v::<B, T, W>(
+            [xk[0] - xi[0], xk[1] - xi[1], xk[2] - xi[2]],
+            ctx.lengths,
+            ctx.periodic,
+        );
+        let rsq_ik = del_ik[0] * del_ik[0] + del_ik[1] * del_ik[1] + del_ik[2] * del_ik[2];
+        let mut trip_idx = [0usize; W];
+        for lane in 0..W {
+            trip_idx[lane] = ij_base[lane] + ctx.types[k_cand[lane]];
+        }
+        let p_ijk = ctx.packed.gather_in::<B, W>(&trip_idx, iterating);
 
-    // ---- Pair terms. ----
+        let mut ready = iterating & rsq_ik.simd_lt(p_ijk.cutsq);
+        for lane in 0..W {
+            if k_cand[lane] == j_idx[lane] {
+                ready.set_lane(lane, false);
+            }
+        }
+
+        // Which lanes compute this round and which advance: fast-forward
+        // advances only the not-ready lanes until every iterating lane is
+        // ready; the naive iteration computes whoever is ready and advances
+        // all.
+        let (compute, advance) = if ctx.fast_forward {
+            let spin = iterating.and_not(ready);
+            if spin.any() {
+                (SimdM::all_false(), spin)
+            } else {
+                (ready, ready)
+            }
+        } else {
+            (ready, iterating)
+        };
+
+        if compute.none() {
+            if let Some(s) = stats.as_deref_mut() {
+                s.record_k_spin();
+            }
+        } else {
+            if let Some(s) = stats.as_deref_mut() {
+                s.record_k_compute(compute.count());
+            }
+            let rik = B::select(compute, rsq_ik, SimdF::one()).sqrt();
+            let (z, grad_j, grad_k) =
+                zeta_term_and_gradients_v::<B, T, W>(&p_ijk, del_ij, rij, del_ik, rik);
+            zeta += B::masked(z, compute);
+            for d in 0..3 {
+                dzeta_j[d] += B::masked(grad_j[d], compute);
+                dzeta_i[d] -= B::masked(grad_j[d] + grad_k[d], compute);
+            }
+            tape.push(KTapeEntry {
+                k_cand,
+                ready: compute,
+                del_ik,
+                grad_k,
+            });
+        }
+        k_pos = k_pos.masked_increment(advance);
+    }
+
+    // ---- Pair terms and δζ. ----
     let (e_rep, de_rep) = repulsive_v::<B, T, W>(&p_ij, rij);
     let (e_att, de_att, de_dzeta) = force_zeta_v::<B, T, W>(&p_ij, rij, zeta);
     *acc.energy += to_acc(B::masked_sum(e_rep + e_att, lane_mask));
     let fpair = (de_rep + de_att) / rij;
     let prefactor = -de_dzeta;
 
-    let mut fi_vec = [SimdF::<T, W>::zero(); 3];
-    let mut fj_vec = [SimdF::<T, W>::zero(); 3];
+    let mut fi = [SimdF::<T, W>::zero(); 3];
+    let mut fj = [SimdF::<T, W>::zero(); 3];
+    let mut fj_3body = [SimdF::<T, W>::zero(); 3];
     for d in 0..3 {
-        fi_vec[d] = fpair * del_ij[d];
-        fj_vec[d] = -(fpair * del_ij[d]);
-    }
-    *acc.virial -= to_acc(B::masked_sum(fpair * rsq, lane_mask));
-    for (c, (a, b)) in VOIGT.iter().enumerate() {
-        acc.tensor[c] -= to_acc(B::masked_sum(fpair * del_ij[*a] * del_ij[*b], lane_mask));
+        let pair_f = fpair * del_ij[d];
+        fj_3body[d] = prefactor * dzeta_j[d];
+        fi[d] = pair_f + prefactor * dzeta_i[d];
+        fj[d] = fj_3body[d] - pair_f;
     }
 
-    // ---- Pass 2: ζ gradients → forces. ----
-    let mut virial_k = T::ZERO;
-    let mut tensor_k = [T::ZERO; 6];
-    {
-        let forces = &mut *acc.forces;
-        let virial_k_ref = &mut virial_k;
-        let tensor_k_ref = &mut tensor_k;
-        k_iterate(&mut stats, &mut |ready, k_cand, del_ik, rik, p_ijk| {
-            let (_, grad_j, grad_k) =
-                zeta_term_and_gradients_v::<B, T, W>(p_ijk, del_ij, rij, del_ik, rik);
-            let mut fk = [SimdF::<A, W>::zero(); 3];
-            let mut gk_vec = [SimdF::<T, W>::zero(); 3];
-            for d in 0..3 {
-                let gj = B::masked(prefactor * grad_j[d], ready);
-                let gk = B::masked(prefactor * grad_k[d], ready);
-                fj_vec[d] += gj;
-                fi_vec[d] = fi_vec[d] - gj - gk;
-                fk[d] = gk.convert();
-                gk_vec[d] = gk;
-                *virial_k_ref += B::masked_sum(del_ik[d] * gk, ready);
-            }
-            for (c, (a, b)) in VOIGT.iter().enumerate() {
-                tensor_k_ref[c] += B::masked_sum(del_ik[*a] * gk_vec[*b], ready);
-            }
-            // Force on k: lanes may collide with each other (and with i/j of
-            // other lanes), so the accumulation is conflict-handled.
-            scatter_add3::<A, W, 3>(forces, k_cand, ready, fk);
-        });
-    }
-    *acc.virial += to_acc(virial_k);
-    for (c, v) in tensor_k.iter().enumerate() {
-        acc.tensor[c] += to_acc(*v);
-    }
-
-    // Virial contribution of the j-side three-body force (pair part already
-    // tallied above): Σ del_ij · (F_j − pair part).
+    // Per-lane virial: pair part plus the j-side three-body part, scalar
+    // trace and tensor side by side; the k side joins during the replay.
+    let mut virial = -(fpair * rsq);
+    let mut tensor = [SimdF::<T, W>::zero(); 6];
     for d in 0..3 {
-        let three_body_j = fj_vec[d] + fpair * del_ij[d];
-        *acc.virial += to_acc(B::masked_sum(del_ij[d] * three_body_j, lane_mask));
+        virial += del_ij[d] * fj_3body[d];
     }
     for (c, (a, b)) in VOIGT.iter().enumerate() {
-        let three_body_j = fj_vec[*b] + fpair * del_ij[*b];
-        acc.tensor[c] += to_acc(B::masked_sum(del_ij[*a] * three_body_j, lane_mask));
+        tensor[c] = del_ij[*a] * fj_3body[*b] - fpair * del_ij[*a] * del_ij[*b];
+    }
+
+    // ---- Replay the tape: forces on k, k-side virial. ----
+    for entry in tape.iter() {
+        let gk: [SimdF<T, W>; 3] =
+            std::array::from_fn(|d| B::masked(prefactor * entry.grad_k[d], entry.ready));
+        for d in 0..3 {
+            virial += entry.del_ik[d] * gk[d];
+        }
+        for (c, (a, b)) in VOIGT.iter().enumerate() {
+            tensor[c] += entry.del_ik[*a] * gk[*b];
+        }
+        // Force on k: lanes may collide with each other (and with i/j of
+        // other lanes), so the accumulation is conflict-handled.
+        let fk: [SimdF<A, W>; 3] = [gk[0].convert(), gk[1].convert(), gk[2].convert()];
+        scatter_add3::<A, W, 3>(acc.forces, &entry.k_cand, entry.ready, fk);
+    }
+    *acc.virial += to_acc(B::masked_sum(virial, lane_mask));
+    for (dst, t) in acc.tensor.iter_mut().zip(tensor) {
+        *dst += to_acc(B::masked_sum(t, lane_mask));
     }
 
     // ---- Scatter the i / j forces (conflicts possible in both). ----
     let fi_acc: [SimdF<A, W>; 3] = [
-        B::masked(fi_vec[0], lane_mask).convert(),
-        B::masked(fi_vec[1], lane_mask).convert(),
-        B::masked(fi_vec[2], lane_mask).convert(),
+        B::masked(fi[0], lane_mask).convert(),
+        B::masked(fi[1], lane_mask).convert(),
+        B::masked(fi[2], lane_mask).convert(),
     ];
     let fj_acc: [SimdF<A, W>; 3] = [
-        B::masked(fj_vec[0], lane_mask).convert(),
-        B::masked(fj_vec[1], lane_mask).convert(),
-        B::masked(fj_vec[2], lane_mask).convert(),
+        B::masked(fj[0], lane_mask).convert(),
+        B::masked(fj[1], lane_mask).convert(),
+        B::masked(fj[2], lane_mask).convert(),
     ];
     scatter_add3::<A, W, 3>(acc.forces, i_idx, lane_mask, fi_acc);
     scatter_add3::<A, W, 3>(acc.forces, j_idx, lane_mask, fj_acc);

@@ -15,7 +15,7 @@
 
 use crate::accumulate::{flat_f64_forces, AccView};
 use crate::filter::Prepared;
-use crate::pair_kernel::{process_pair_vector, Accumulators, PairKernelCtx};
+use crate::pair_kernel::{process_pair_vector, KTapeEntry, PairKernelCtx, PairSchemeScratch};
 use crate::params::TersoffParams;
 use crate::stats::KernelStats;
 use crate::vector_kernel::PackedParams;
@@ -47,21 +47,11 @@ pub struct TersoffSchemeB<T: Real, A: Real, const W: usize> {
     /// positions), refreshed in place by [`RangePotential::prepare`].
     prep: Prepared<T>,
     /// Scratch for the single-threaded [`Potential::compute`] entry point.
-    own_scratch: PairSchemeScratch<A>,
+    own_scratch: PairSchemeScratch<T, A, W>,
     /// The vektor implementation this kernel instance executes (selected at
     /// construction, kernel-granular — see `vektor::dispatch`).
     backend: BackendImpl,
     _acc: std::marker::PhantomData<A>,
-}
-
-/// Reusable per-thread scratch shared by the pair-vector schemes (1b)/(1c):
-/// the accumulation buffers plus per-thread kernel statistics.
-#[derive(Clone, Debug, Default)]
-pub struct PairSchemeScratch<A: Real> {
-    /// Force/energy/virial accumulators in the accumulation precision.
-    pub acc: Accumulators<A>,
-    /// Per-thread lane-occupancy statistics.
-    pub stats: KernelStats,
 }
 
 impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
@@ -145,7 +135,7 @@ impl<T: Real, A: Real, const W: usize> Potential for TersoffSchemeB<T, A, W> {
 
 impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
     /// Fold per-thread diagnostics back into the potential.
-    fn absorb(&mut self, scratch: &mut PairSchemeScratch<A>) {
+    fn absorb(&mut self, scratch: &mut PairSchemeScratch<T, A, W>) {
         if self.collect_stats {
             self.stats.merge(&scratch.stats);
             scratch.stats.reset();
@@ -162,7 +152,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
         atoms: &AtomData,
         sim_box: &SimBox,
         range: Range<usize>,
-        scratch: &mut PairSchemeScratch<A>,
+        scratch: &mut PairSchemeScratch<T, A, W>,
         out: &mut ComputeOutput,
     ) {
         let pairs = &self.prep.pairs;
@@ -200,7 +190,14 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
                 virial: &mut virial,
                 tensor: &mut tensor,
             };
-            self.pair_loop_dispatch(&ctx, pair_lo, pair_hi, &mut acc, &mut scratch.stats);
+            self.pair_loop_dispatch(
+                &ctx,
+                pair_lo,
+                pair_hi,
+                &mut acc,
+                &mut scratch.tape,
+                &mut scratch.stats,
+            );
         } else {
             scratch.acc.reset(atoms.n_total());
             let mut acc = AccView {
@@ -209,7 +206,14 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
                 virial: &mut virial,
                 tensor: &mut tensor,
             };
-            self.pair_loop_dispatch(&ctx, pair_lo, pair_hi, &mut acc, &mut scratch.stats);
+            self.pair_loop_dispatch(
+                &ctx,
+                pair_lo,
+                pair_hi,
+                &mut acc,
+                &mut scratch.tape,
+                &mut scratch.stats,
+            );
             scratch.acc.fold_into(out);
         }
         out.energy += energy.to_f64();
@@ -230,6 +234,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
         pair_lo: usize,
         pair_hi: usize,
         acc: &mut AccView<'_, A>,
+        tape: &mut Vec<KTapeEntry<T, W>>,
         stats: &mut KernelStats,
     ) {
         let pairs = &self.prep.pairs;
@@ -248,7 +253,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
             } else {
                 None
             };
-            process_pair_vector::<B, T, A, W>(ctx, &i_idx, &j_idx, lane_mask, acc, stats);
+            process_pair_vector::<B, T, A, W>(ctx, &i_idx, &j_idx, lane_mask, acc, tape, stats);
             pv += W;
         }
     }
@@ -264,7 +269,7 @@ impl<T: Real, A: Real, const W: usize> RangePotential for TersoffSchemeB<T, A, W
     }
 
     fn make_scratch(&self) -> Box<dyn Any + Send> {
-        Box::new(PairSchemeScratch::<A> {
+        Box::new(PairSchemeScratch::<T, A, W> {
             stats: KernelStats::new(W),
             ..Default::default()
         })
@@ -280,14 +285,14 @@ impl<T: Real, A: Real, const W: usize> RangePotential for TersoffSchemeB<T, A, W
         out: &mut ComputeOutput,
     ) {
         let scratch = scratch
-            .downcast_mut::<PairSchemeScratch<A>>()
+            .downcast_mut::<PairSchemeScratch<T, A, W>>()
             .expect("scratch type mismatch");
         self.range_kernel(atoms, sim_box, range, scratch, out);
     }
 
     fn absorb_scratch(&mut self, scratch: &mut (dyn Any + Send)) {
         let scratch = scratch
-            .downcast_mut::<PairSchemeScratch<A>>()
+            .downcast_mut::<PairSchemeScratch<T, A, W>>()
             .expect("scratch type mismatch");
         self.absorb(scratch);
     }
@@ -305,6 +310,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeB<T, A, W> {
             pair_lo: usize,
             pair_hi: usize,
             acc: &mut AccView<'_, A>,
+            tape: &mut Vec<KTapeEntry<T, W>>,
             stats: &mut KernelStats,
         );
     }

@@ -7,14 +7,13 @@
 //! the whole block of `W` atoms is done — the warp-divergence effect the
 //! paper describes ("95% of the threads in a warp might be inactive").
 //! Vector-wide conditionals correspond to warp votes. Everything below the
-//! pair level (the K passes, conflict-handled scatters) is shared with scheme
-//! (1b) via [`crate::pair_kernel`].
+//! pair level (the single fast-forwarded K pass, conflict-handled scatters)
+//! is shared with scheme (1b) via [`crate::pair_kernel`].
 
 use crate::accumulate::{flat_f64_forces, AccView};
 use crate::filter::Prepared;
-use crate::pair_kernel::{process_pair_vector, PairKernelCtx};
+use crate::pair_kernel::{process_pair_vector, KTapeEntry, PairKernelCtx, PairSchemeScratch};
 use crate::params::TersoffParams;
-use crate::scheme_b::PairSchemeScratch;
 use crate::stats::KernelStats;
 use crate::vector_kernel::PackedParams;
 use md_core::atom::AtomData;
@@ -43,7 +42,7 @@ pub struct TersoffSchemeC<T: Real, A: Real, const W: usize> {
     /// [`RangePotential::prepare`].
     prep: Prepared<T>,
     /// Scratch for the single-threaded [`Potential::compute`] entry point.
-    own_scratch: PairSchemeScratch<A>,
+    own_scratch: PairSchemeScratch<T, A, W>,
     /// The vektor implementation this kernel instance executes (selected at
     /// construction, kernel-granular — see `vektor::dispatch`).
     backend: BackendImpl,
@@ -125,7 +124,7 @@ impl<T: Real, A: Real, const W: usize> Potential for TersoffSchemeC<T, A, W> {
 
 impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
     /// Fold per-thread diagnostics back into the potential.
-    fn absorb(&mut self, scratch: &mut PairSchemeScratch<A>) {
+    fn absorb(&mut self, scratch: &mut PairSchemeScratch<T, A, W>) {
         if self.collect_stats {
             self.stats.merge(&scratch.stats);
             scratch.stats.reset();
@@ -140,7 +139,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
         atoms: &AtomData,
         sim_box: &SimBox,
         range: Range<usize>,
-        scratch: &mut PairSchemeScratch<A>,
+        scratch: &mut PairSchemeScratch<T, A, W>,
         out: &mut ComputeOutput,
     ) {
         if self.collect_stats {
@@ -171,7 +170,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
                 virial: &mut virial,
                 tensor: &mut tensor,
             };
-            self.warp_loop_dispatch(&ctx, range, &mut acc, &mut scratch.stats);
+            self.warp_loop_dispatch(&ctx, range, &mut acc, &mut scratch.tape, &mut scratch.stats);
         } else {
             scratch.acc.reset(atoms.n_total());
             let mut acc = AccView {
@@ -180,7 +179,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
                 virial: &mut virial,
                 tensor: &mut tensor,
             };
-            self.warp_loop_dispatch(&ctx, range, &mut acc, &mut scratch.stats);
+            self.warp_loop_dispatch(&ctx, range, &mut acc, &mut scratch.tape, &mut scratch.stats);
             scratch.acc.fold_into(out);
         }
         out.energy += energy.to_f64();
@@ -201,6 +200,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
         ctx: &PairKernelCtx<'_, T>,
         range: Range<usize>,
         acc: &mut AccView<'_, A>,
+        tape: &mut Vec<KTapeEntry<T, W>>,
         stats: &mut KernelStats,
     ) {
         let filtered = &self.prep.filtered;
@@ -241,7 +241,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
                 } else {
                     None
                 };
-                process_pair_vector::<B, T, A, W>(ctx, &i_idx, &j_idx, lane_mask, acc, stats);
+                process_pair_vector::<B, T, A, W>(ctx, &i_idx, &j_idx, lane_mask, acc, tape, stats);
             }
             block += W;
         }
@@ -258,7 +258,7 @@ impl<T: Real, A: Real, const W: usize> RangePotential for TersoffSchemeC<T, A, W
     }
 
     fn make_scratch(&self) -> Box<dyn Any + Send> {
-        Box::new(PairSchemeScratch::<A> {
+        Box::new(PairSchemeScratch::<T, A, W> {
             stats: KernelStats::new(W),
             ..Default::default()
         })
@@ -274,14 +274,14 @@ impl<T: Real, A: Real, const W: usize> RangePotential for TersoffSchemeC<T, A, W
         out: &mut ComputeOutput,
     ) {
         let scratch = scratch
-            .downcast_mut::<PairSchemeScratch<A>>()
+            .downcast_mut::<PairSchemeScratch<T, A, W>>()
             .expect("scratch type mismatch");
         self.range_kernel(atoms, sim_box, range, scratch, out);
     }
 
     fn absorb_scratch(&mut self, scratch: &mut (dyn Any + Send)) {
         let scratch = scratch
-            .downcast_mut::<PairSchemeScratch<A>>()
+            .downcast_mut::<PairSchemeScratch<T, A, W>>()
             .expect("scratch type mismatch");
         self.absorb(scratch);
     }
@@ -298,6 +298,7 @@ impl<T: Real, A: Real, const W: usize> TersoffSchemeC<T, A, W> {
             ctx: &PairKernelCtx<'_, T>,
             range: Range<usize>,
             acc: &mut AccView<'_, A>,
+            tape: &mut Vec<KTapeEntry<T, W>>,
             stats: &mut KernelStats,
         );
     }

@@ -11,6 +11,11 @@
 use serde::{Deserialize, Serialize};
 
 /// Lane-occupancy and iteration statistics of one kernel invocation.
+///
+/// The `k_*` counters cover the single K pass every vector scheme makes
+/// per pair vector (1a, 1b and 1c alike): ζ and all its gradients come out
+/// of that one pass, so `k_active_lanes` is the number of in-cutoff
+/// (i, j, k) triplets the kernel evaluated, each counted once.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct KernelStats {
     /// Vector width the kernel ran with.

@@ -324,10 +324,10 @@ fn stream_events(state: &Arc<ServerState>, id_text: &str, stream: &mut TcpStream
         let _ = error_response(404, &format!("no such job {id_text:?}")).write_to(stream);
         return;
     };
-    if state.registry.get(id).is_none() {
+    let Some(record) = state.registry.get(id) else {
         let _ = error_response(404, &format!("no such job {id}")).write_to(stream);
         return;
-    }
+    };
     let log = state.registry.event_log(id);
     let Ok(mut chunked) = ChunkedStream::start(stream, 200, "application/x-ndjson") else {
         return;
@@ -350,6 +350,9 @@ fn stream_events(state: &Arc<ServerState>, id_text: &str, stream: &mut TcpStream
             break;
         }
     }
+    // The terminal line can be out before the engine resolves the job's
+    // handle; end the stream only once `GET /v1/jobs/{id}` reports done.
+    record.settle();
     let _ = chunked.finish();
 }
 

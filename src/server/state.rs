@@ -106,13 +106,26 @@ impl JobRecord {
     /// terminal consumes the handle (an immediate `wait`) and pins the
     /// resolved report; every later read shares it.
     pub(crate) fn view(&self) -> JobView {
+        self.view_inner(false)
+    }
+
+    /// The job's terminal state, blocking until the engine resolves the
+    /// handle. The engine emits a job's terminal event just *before* it
+    /// resolves the handle, so a reader that saw that event waits here
+    /// only for that hand-off, and every `GET` after it reports `done`.
+    pub(crate) fn settle(&self) -> JobView {
+        self.view_inner(true)
+    }
+
+    fn view_inner(&self, block: bool) -> JobView {
         let mut slot = lock(&self.slot);
-        let terminal = match &*slot {
-            Slot::Pending(handle) => match handle.poll() {
+        match &*slot {
+            Slot::Pending(handle) if !block => match handle.poll() {
                 JobStatus::Queued => return JobView::Queued,
                 JobStatus::Running => return JobView::Running,
-                JobStatus::Finished | JobStatus::Faulted | JobStatus::Cancelled => true,
+                JobStatus::Finished | JobStatus::Faulted | JobStatus::Cancelled => {}
             },
+            Slot::Pending(_) => {}
             Slot::Resolving => unreachable!("resolution happens under the slot lock"),
             Slot::Done { report, cancelled } => {
                 return JobView::Done {
@@ -120,12 +133,13 @@ impl JobRecord {
                     cancelled: *cancelled,
                 }
             }
-        };
-        debug_assert!(terminal);
+        }
         let Slot::Pending(handle) = std::mem::replace(&mut *slot, Slot::Resolving) else {
             unreachable!("checked Pending above");
         };
-        let outcome = handle.wait(); // immediate: the job is terminal
+        // Immediate when the job is terminal; otherwise (`settle` only) a
+        // wait for the engine's resolve that follows the terminal event.
+        let outcome = handle.wait();
         let cancelled = matches!(outcome, JobOutcome::Cancelled);
         let report = Arc::new(self.scenario.resolve(self.variant, outcome));
         *slot = Slot::Done {
@@ -372,4 +386,101 @@ pub(crate) fn run_recorder(sub: EventSub, registry: Arc<Registry>) {
         }
     }
     registry.close_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{Server, ServerConfig};
+    use super::*;
+    use crate::json::parse;
+    use crate::scenario::RunPolicy;
+    use md_core::jobs::JobSpec;
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::sync::mpsc;
+    use std::thread;
+
+    const FIXTURE: &str = r#"{
+  "name": "settle",
+  "system": {"lattice": "silicon", "cells": [2, 2, 2], "perturbation": 0.04,
+             "lattice_seed": 21, "temperature": 400.0, "velocity_seed": 5},
+  "potential": {"params": "silicon", "mode": "Opt-M", "scheme": "1b", "threads": 1},
+  "run": {"timestep": 0.001, "skin": 1.0, "steps": 4, "thermo_every": 2}
+}"#;
+
+    /// One `Connection: close` GET; returns the raw response.
+    fn get(addr: SocketAddr, path: &str) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").expect("write request");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("read response");
+        raw
+    }
+
+    #[test]
+    fn the_event_stream_ends_only_once_the_job_reports_done() {
+        let server = Server::bind(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .expect("bind loopback");
+        let addr = server.local_addr();
+        let state = server.state.clone();
+
+        // Hold the only lane so the scenario job below stays queued.
+        let (release, gate) = mpsc::channel::<()>();
+        let blocker = state
+            .engine
+            .submit(JobSpec::new("gate", move |_| {
+                let _ = gate.recv();
+            }))
+            .expect("submit the gate job");
+        let scenario = Arc::new(Scenario::from_json(FIXTURE).expect("fixture parses"));
+        let variant = scenario.variants()[0];
+        let policy = RunPolicy {
+            keep_going: true,
+            ..RunPolicy::default()
+        };
+        let steps = scenario.capped_steps(&policy);
+        let handle = scenario
+            .try_submit(&state.engine, variant, steps, &policy)
+            .expect("submit the scenario job");
+        let id = handle.id();
+        state.registry.insert(JobRecord::new(
+            scenario.clone(),
+            variant,
+            "settle".to_string(),
+            steps,
+            handle,
+        ));
+        // A terminal line in the log while the handle is unresolved: the
+        // gap the engine leaves between its terminal event and resolving
+        // the handle, held open here for as long as the job stays queued.
+        state.registry.record(&JobEvent::Finished {
+            job: id,
+            name: "settle".to_string(),
+            seconds: 0.0,
+        });
+
+        let stream = thread::spawn(move || get(addr, &format!("/v1/jobs/{id}/events")));
+        thread::sleep(Duration::from_millis(200));
+        assert!(
+            !stream.is_finished(),
+            "the stream ended before the job was done"
+        );
+        release.send(()).expect("release the lane");
+        let events = stream.join().expect("stream thread");
+        assert!(events.contains("\"finished\""), "terminal line streamed");
+
+        let status = get(addr, &format!("/v1/jobs/{id}"));
+        let body = &status[status.find("\r\n\r\n").expect("response head") + 4..];
+        let json = parse(body).expect("JSON status");
+        assert_eq!(json.get("done"), Some(&Json::Bool(true)), "{body}");
+        assert_eq!(json.get("status"), Some(&Json::Str("ok".into())), "{body}");
+
+        blocker.wait();
+        drop(state);
+        server.request_shutdown();
+        server.join();
+    }
 }

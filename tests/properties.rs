@@ -63,7 +63,9 @@ type PressureGolden = (&'static str, &'static str, &'static [(u64, u64)]);
 /// `generate_pressure_goldens` on a commit *before* a change that is
 /// allowed to move pressure. The vector-scheme rows (1a/1b/1c) were
 /// regenerated when the vector kernels moved from libm to the lane-native
-/// `vektor::math` functions; the Ref and scalar-scheme rows are unchanged.
+/// `vektor::math` functions, and the 1b/1c rows again when the pair-vector
+/// kernel moved to one K pass with per-lane virial sums (a new summation
+/// order); the Ref and scalar-scheme rows are unchanged.
 const PRESSURE_GOLDENS: &[PressureGolden] = &[
     (
         "Ref",
@@ -108,26 +110,26 @@ const PRESSURE_GOLDENS: &[PressureGolden] = &[
         "Opt-D",
         "1b",
         &[
-            (0, 0x40ad77e7952cb6c4),
-            (5, 0x40b0874ebee4102a),
+            (0, 0x40ad77e7952cb6c7),
+            (5, 0x40b0874ebee4102c),
             (10, 0x40b41d064e944715),
-            (15, 0x40b678d441a07d6e),
-            (20, 0x40b587470c73bcb3),
-            (25, 0x40b1c097358b1c9c),
-            (30, 0x40ab79f434f38777),
+            (15, 0x40b678d441a07d6c),
+            (20, 0x40b587470c73bcb5),
+            (25, 0x40b1c097358b1c94),
+            (30, 0x40ab79f434f38759),
         ],
     ),
     (
         "Opt-D",
         "1c",
         &[
-            (0, 0x40ad77e7952cb6c4),
-            (5, 0x40b0874ebee41029),
+            (0, 0x40ad77e7952cb6c5),
+            (5, 0x40b0874ebee4102c),
             (10, 0x40b41d064e944717),
-            (15, 0x40b678d441a07d6f),
-            (20, 0x40b587470c73bcb4),
+            (15, 0x40b678d441a07d5e),
+            (20, 0x40b587470c73bcbc),
             (25, 0x40b1c097358b1c9d),
-            (30, 0x40ab79f434f38779),
+            (30, 0x40ab79f434f3873c),
         ],
     ),
     (
@@ -160,26 +162,26 @@ const PRESSURE_GOLDENS: &[PressureGolden] = &[
         "Opt-S",
         "1b",
         &[
-            (0, 0x40ad7b2fc74c938f),
-            (5, 0x40b089de0965edcc),
-            (10, 0x40b41e6436b53311),
-            (15, 0x40b67aa380f94758),
-            (20, 0x40b5895b055b01b7),
-            (25, 0x40b1c23748489960),
-            (30, 0x40ab7ee68dfcd434),
+            (0, 0x40ad7b2fa03af125),
+            (5, 0x40b089de1cf68271),
+            (10, 0x40b41e6443ceb398),
+            (15, 0x40b67aa34ccaa97a),
+            (20, 0x40b5895aea3af83d),
+            (25, 0x40b1c23716fd6930),
+            (30, 0x40ab7ef1d56f6b7a),
         ],
     ),
     (
         "Opt-S",
         "1c",
         &[
-            (0, 0x40ad7b2ffb6416c4),
-            (5, 0x40b089de167a75db),
-            (10, 0x40b41e6440cea804),
-            (15, 0x40b67aa35acdd187),
-            (20, 0x40b5895ae92ea53c),
-            (25, 0x40b1c23736d1458d),
-            (30, 0x40ab7eeb17b6bd1d),
+            (0, 0x40ad7b2fa6bde18c),
+            (5, 0x40b089de1d047e74),
+            (10, 0x40b41e6443eb8b69),
+            (15, 0x40b67aa359f434a5),
+            (20, 0x40b5895b11a4126e),
+            (25, 0x40b1c2371e3b02ff),
+            (30, 0x40ab7ee67a3ee5eb),
         ],
     ),
     (
@@ -212,26 +214,26 @@ const PRESSURE_GOLDENS: &[PressureGolden] = &[
         "Opt-M",
         "1b",
         &[
-            (0, 0x40ad7b2fd8abeaf0),
-            (5, 0x40b089de1123d51e),
-            (10, 0x40b41e645a83a2d1),
-            (15, 0x40b67aa3793a97d1),
-            (20, 0x40b5895940700963),
-            (25, 0x40b1c236fd166f07),
-            (30, 0x40ab7ef1e48f717e),
+            (0, 0x40ad7b2faee18e0d),
+            (5, 0x40b089de17404a48),
+            (10, 0x40b41e643e4a9315),
+            (15, 0x40b67aa3586d695b),
+            (20, 0x40b5895afd130376),
+            (25, 0x40b1c2370b5bce49),
+            (30, 0x40ab7ef1c12e2e65),
         ],
     ),
     (
         "Opt-M",
         "1c",
         &[
-            (0, 0x40ad7b2ff99c4908),
-            (5, 0x40b089de19a92db4),
-            (10, 0x40b41e6443e6edfa),
-            (15, 0x40b67aa36340ac75),
-            (20, 0x40b589595412e65a),
-            (25, 0x40b1c23716c7077c),
-            (30, 0x40ab7ef239d1ed3f),
+            (0, 0x40ad7b2fb0824a26),
+            (5, 0x40b089de1cf2dca2),
+            (10, 0x40b41e644a8015d6),
+            (15, 0x40b67aa35a0e2575),
+            (20, 0x40b5895b0e2aba84),
+            (25, 0x40b1c2371d43e363),
+            (30, 0x40ab7ef1cc935317),
         ],
     ),
 ];

@@ -474,6 +474,47 @@ fn the_event_stream_is_live_replayable_ndjson() {
 }
 
 #[test]
+fn status_reports_done_as_soon_as_the_event_stream_ends() {
+    // The engine emits a job's terminal event just before it resolves the
+    // job; the stream must not end in that gap. Every job of a small batch
+    // is followed live from its own thread, and the `GET` sent right
+    // after each stream ends must already report `done`.
+    let server = boot(1, 16);
+    let addr = server.local_addr();
+    let jobs = submit(addr, &fixture_json("server_stream_done", 4, true));
+    assert_eq!(jobs.len(), 4, "2 modes x 2 thread counts");
+
+    let followers: Vec<_> = jobs
+        .into_iter()
+        .map(|(label, id)| {
+            thread::spawn(move || {
+                let events = request(addr, "GET", &format!("/v1/jobs/{id}/events"), b"");
+                let status = request(addr, "GET", &format!("/v1/jobs/{id}"), b"").json();
+                assert_eq!(events.status, 200, "{label}: event stream");
+                let last = std::str::from_utf8(&events.body)
+                    .expect("UTF-8 stream")
+                    .lines()
+                    .last()
+                    .map(|line| text(&parse(line).expect("JSON event"), "event").to_string());
+                assert_eq!(last.as_deref(), Some("finished"), "{label}: terminal line");
+                assert!(
+                    boolean(&status, "done"),
+                    "{label}: GET after the stream ended reports {:?}",
+                    text(&status, "status")
+                );
+                assert_eq!(text(&status, "status"), "ok", "{label}");
+            })
+        })
+        .collect();
+    for follower in followers {
+        follower.join().expect("follower thread");
+    }
+
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
 fn cancel_is_queue_level_exact_over_http() {
     // One lane: the first variant starts running, the rest sit queued.
     let server = boot(1, 64);
